@@ -28,14 +28,18 @@ tables:
 difftest:
 	$(GO) run ./cmd/delinq difftest -n 1000 -seed 1
 
-# fuzz-smoke gives every native fuzz target a short time-boxed run; the
-# committed corpora under testdata/fuzz/ also run as part of `make test`.
+# fuzz-smoke gives every native fuzz target a short time-boxed run, the
+# same list as scripts/check.sh; the committed corpora under
+# testdata/fuzz/ also run as part of `make test`.
 fuzz-smoke:
 	$(GO) test -fuzz '^FuzzParse$$' -fuzztime 5s -run '^$$' ./internal/minic
 	$(GO) test -fuzz '^FuzzCompile$$' -fuzztime 5s -run '^$$' ./internal/minic
 	$(GO) test -fuzz '^FuzzAssemble$$' -fuzztime 5s -run '^$$' ./internal/asm
 	$(GO) test -fuzz '^FuzzAsmRoundTrip$$' -fuzztime 5s -run '^$$' ./internal/disasm
+	$(GO) test -fuzz '^FuzzArmLowerRoundTrip$$' -fuzztime 5s -run '^$$' ./internal/disasm
 	$(GO) test -fuzz '^FuzzDecodeImage$$' -fuzztime 5s -run '^$$' ./internal/obj
+	$(GO) test -fuzz '^FuzzLowerImageBytes$$' -fuzztime 5s -run '^$$' ./internal/core
+	$(GO) test -fuzz '^FuzzBank$$' -fuzztime 5s -run '^$$' ./internal/cache
 
 # loadtest drives five seconds of skewed closed-loop load at an
 # in-process daemon and refreshes the committed BENCH_serve.json, then

@@ -302,10 +302,9 @@ func BenchmarkVMInstsPerSec(b *testing.B) {
 	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "insts/sec")
 }
 
-// BenchmarkCacheAccess measures the cache model's raw access rate on a
-// mixed hot/cold address stream, for the set-associative path and the
-// direct-mapped fast path.
-func BenchmarkCacheAccess(b *testing.B) {
+// cacheBenchAddrs is a mixed hot/cold address stream: one access in
+// four lands anywhere in 1 MB, the rest in an 8 KB working set.
+func cacheBenchAddrs() []uint32 {
 	addrs := make([]uint32, 1<<16)
 	rng := rand.New(rand.NewSource(1))
 	for i := range addrs {
@@ -315,6 +314,13 @@ func BenchmarkCacheAccess(b *testing.B) {
 			addrs[i] = uint32(rng.Intn(1 << 13)) // hot working set
 		}
 	}
+	return addrs
+}
+
+// BenchmarkCacheAccess measures the cache model's raw access rate on
+// cacheBenchAddrs, set-associative and direct-mapped.
+func BenchmarkCacheAccess(b *testing.B) {
+	addrs := cacheBenchAddrs()
 	for _, cfg := range []cache.Config{
 		{SizeBytes: 8 * 1024, Assoc: 4, BlockBytes: 32},
 		{SizeBytes: 8 * 1024, Assoc: 1, BlockBytes: 32},
@@ -328,6 +334,27 @@ func BenchmarkCacheAccess(b *testing.B) {
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "accesses/sec")
 		})
 	}
+}
+
+// BenchmarkCacheBank feeds cacheBenchAddrs to the six standard
+// geometries through one cache.Bank, as every sweep simulation does; an
+// op is one access delivered to all six.
+func BenchmarkCacheBank(b *testing.B) {
+	addrs := cacheBenchAddrs()
+	caches := make([]*cache.Cache, len(tables.StdGeoms))
+	for i, g := range tables.StdGeoms {
+		caches[i] = mustCache(g)
+	}
+	bank, err := cache.NewBank(caches)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bank.Access(addrs[i&(len(addrs)-1)], i&7 == 7)
+	}
+	bank.Flush()
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "accesses/sec")
 }
 
 // BenchmarkTableAllParallel regenerates every table from cold caches

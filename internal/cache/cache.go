@@ -1,7 +1,8 @@
 // Package cache models a set-associative, write-allocate data cache with
 // true-LRU replacement — the L1 D-cache of the SimpleScalar stand-in.
 // Geometry (total size, associativity, block size) is fully parameterised,
-// matching the sweeps in the paper's Tables 8 and 9.
+// matching the sweeps in the paper's Tables 8 and 9. A Bank feeds one
+// access stream to several geometries at about the cost of one.
 package cache
 
 import "fmt"
@@ -74,30 +75,24 @@ var (
 	Baseline = Config{SizeBytes: 8 * 1024, Assoc: 4, BlockBytes: 32}
 )
 
-// way is one cache line. tag1 holds the line's tag plus one, with zero
-// meaning invalid: folding the valid bit into the tag word makes the
-// hit scan a single compare per way. The +1 cannot overflow — a tag
-// occupies 32-tagShift bits, so tag+1 always fits in uint32.
-type way struct {
-	tag1  uint32
-	stamp uint64
-}
-
-// Cache is one simulated data cache. The ways of all sets live in one
-// contiguous slice (set s occupies ways[s*assoc : (s+1)*assoc]) so an
-// access costs a single bounds-checked slice into flat memory rather
-// than a pointer chase through a per-set slice header — this is the
+// Cache is one simulated data cache. Each set is a recency-ordered run
+// of assoc tag words inside one contiguous slice (set s occupies
+// tags[s*assoc : (s+1)*assoc]): position 0 holds the most recently used
+// line (the newest fill under FIFO) and the last position the next
+// victim. A tag word is the line's tag plus one, with zero meaning
+// invalid, so the hit scan is a single compare per way and invalid
+// lines collect at the back of the set, where fills evict them first.
+// The +1 cannot overflow: a tag occupies 32-tagShift bits. This is the
 // hottest data structure in the whole experiment pipeline.
 type Cache struct {
-	cfg      Config
-	ways     []way
-	assoc    int
-	lru      bool
-	setShift uint
-	tagShift uint
-	setMask  uint32
-	// clock ticks once per access, so it doubles as the access counter.
-	clock     uint64
+	cfg       Config
+	tags      []uint32
+	assoc     int
+	lru       bool
+	setShift  uint
+	tagShift  uint
+	setMask   uint32
+	accesses  uint64
 	misses    uint64
 	loadMiss  uint64
 	storeMiss uint64
@@ -110,14 +105,12 @@ func New(cfg Config) (*Cache, error) {
 	}
 	nsets := cfg.Sets()
 	c := &Cache{
-		cfg:     cfg,
-		ways:    make([]way, nsets*cfg.Assoc),
-		assoc:   cfg.Assoc,
-		lru:     cfg.Repl == LRU,
-		setMask: uint32(nsets - 1),
-	}
-	for b := cfg.BlockBytes; b > 1; b >>= 1 {
-		c.setShift++
+		cfg:      cfg,
+		tags:     make([]uint32, nsets*cfg.Assoc),
+		assoc:    cfg.Assoc,
+		lru:      cfg.Repl == LRU,
+		setShift: uint(log2(cfg.BlockBytes)),
+		setMask:  uint32(nsets - 1),
 	}
 	c.tagShift = c.setShift + uint(log2(nsets))
 	return c, nil
@@ -129,48 +122,33 @@ func (c *Cache) Config() Config { return c.cfg }
 // Access simulates one data access and reports whether it hit.
 // Write misses allocate (write-allocate policy).
 func (c *Cache) Access(addr uint32, isStore bool) bool {
-	c.clock++
+	c.accesses++
 	tag1 := (addr >> c.tagShift) + 1
-	si := int((addr >> c.setShift) & c.setMask)
-	if c.assoc == 1 {
-		// Direct-mapped fast path: one candidate way, no victim scan.
-		w := &c.ways[si]
-		if w.tag1 == tag1 {
-			if c.lru {
-				w.stamp = c.clock
-			}
-			return true
-		}
-		c.countMiss(isStore)
-		*w = way{tag1: tag1, stamp: c.clock}
-		return false
+	base := int((addr>>c.setShift)&c.setMask) * c.assoc
+	set := c.tags[base : base+c.assoc]
+	// An MRU hit, the common case, needs no reordering.
+	if set[0] == tag1 {
+		return true
 	}
-	base := si * c.assoc
-	set := c.ways[base : base+c.assoc]
-	// Hit path first: a pure tag scan, no victim bookkeeping. Hits are
-	// the overwhelming majority of accesses, so the replacement logic
-	// below only runs when a line must actually be filled.
-	for i := range set {
-		w := &set[i]
-		if w.tag1 == tag1 {
+	for i := 1; i < len(set); i++ {
+		if set[i] == tag1 {
 			if c.lru {
-				w.stamp = c.clock
+				// Move the line to the front. An explicit loop beats
+				// copy's memmove call at these few words.
+				for ; i > 0; i-- {
+					set[i] = set[i-1]
+				}
+				set[0] = tag1
 			}
 			return true
 		}
 	}
-	// Miss: prefer the last invalid way, else the smallest stamp (LRU
-	// victim under LRU stamping, oldest fill under FIFO).
-	victim := 0
-	for i := range set {
-		if set[i].tag1 == 0 {
-			victim = i
-		} else if set[victim].tag1 != 0 && set[i].stamp < set[victim].stamp {
-			victim = i
-		}
-	}
+	// Miss: the last line (LRU, or oldest fill under FIFO) drops out.
 	c.countMiss(isStore)
-	set[victim] = way{tag1: tag1, stamp: c.clock}
+	for i := len(set) - 1; i > 0; i-- {
+		set[i] = set[i-1]
+	}
+	set[0] = tag1
 	return false
 }
 
@@ -185,10 +163,8 @@ func (c *Cache) countMiss(isStore bool) {
 
 // Reset invalidates every line and clears counters.
 func (c *Cache) Reset() {
-	for i := range c.ways {
-		c.ways[i] = way{}
-	}
-	c.clock, c.misses, c.loadMiss, c.storeMiss = 0, 0, 0, 0
+	clear(c.tags)
+	c.accesses, c.misses, c.loadMiss, c.storeMiss = 0, 0, 0, 0
 }
 
 // Stats summarises activity since the last Reset.
@@ -201,7 +177,7 @@ type Stats struct {
 
 // Stats returns the activity counters.
 func (c *Cache) Stats() Stats {
-	return Stats{Accesses: c.clock, Misses: c.misses, LoadMisses: c.loadMiss, StoreMisses: c.storeMiss}
+	return Stats{Accesses: c.accesses, Misses: c.misses, LoadMisses: c.loadMiss, StoreMisses: c.storeMiss}
 }
 
 // MissRate returns misses/accesses, or 0 for an idle cache.

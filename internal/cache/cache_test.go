@@ -239,7 +239,7 @@ func TestPolicyString(t *testing.T) {
 // refCache is an obviously-correct model: one map per set from tag to
 // last-touch stamp (fill stamp under FIFO), evicting the smallest stamp
 // when full. Stamps are unique (the clock is strictly increasing), so
-// the victim is unambiguous and must match the flattened
+// the victim is unambiguous and must match the recency-ordered
 // implementation's choice exactly.
 type refCache struct {
 	cfg   Config
@@ -282,8 +282,8 @@ func (r *refCache) access(addr uint32) bool {
 
 // TestAgainstReferenceModel drives the production cache and the
 // reference model with the same pseudo-random access stream across
-// geometries (including direct-mapped, which takes the fast path) and
-// both policies, demanding an identical hit/miss sequence.
+// geometries (including direct-mapped) and both policies, demanding an
+// identical hit/miss sequence.
 func TestAgainstReferenceModel(t *testing.T) {
 	geoms := []Config{
 		{SizeBytes: 1024, Assoc: 1, BlockBytes: 32},
@@ -330,8 +330,8 @@ func TestAgainstReferenceModel(t *testing.T) {
 	}
 }
 
-// TestDirectMappedFastPath pins the assoc=1 specialisation against the
-// general path semantics: conflict eviction and write-allocate.
+// TestDirectMappedFastPath pins the assoc=1 semantics: conflict
+// eviction and write-allocate.
 func TestDirectMappedFastPath(t *testing.T) {
 	c := mustNew(Config{SizeBytes: 1024, Assoc: 1, BlockBytes: 32})
 	sets := uint32(32)
@@ -354,5 +354,187 @@ func TestDirectMappedFastPath(t *testing.T) {
 	st := c.Stats()
 	if st.Accesses != 5 || st.Misses != 3 || st.StoreMisses != 1 {
 		t.Errorf("stats = %+v", st)
+	}
+}
+
+// The bank geometries of the paper's tables: the six geometries every
+// sweep attaches (tables.StdGeoms, which this package cannot import) and
+// Table S3's block-size sweep.
+var (
+	stdGeoms = []Config{
+		{SizeBytes: 8 * 1024, Assoc: 4, BlockBytes: 32},
+		{SizeBytes: 16 * 1024, Assoc: 4, BlockBytes: 32},
+		{SizeBytes: 32 * 1024, Assoc: 4, BlockBytes: 32},
+		{SizeBytes: 64 * 1024, Assoc: 4, BlockBytes: 32},
+		{SizeBytes: 8 * 1024, Assoc: 2, BlockBytes: 32},
+		{SizeBytes: 8 * 1024, Assoc: 8, BlockBytes: 32},
+	}
+	blockGeoms = []Config{
+		{SizeBytes: 8 * 1024, Assoc: 4, BlockBytes: 16},
+		{SizeBytes: 8 * 1024, Assoc: 4, BlockBytes: 32},
+		{SizeBytes: 8 * 1024, Assoc: 4, BlockBytes: 64},
+	}
+	fifoGeoms = []Config{
+		{SizeBytes: 8 * 1024, Assoc: 4, BlockBytes: 32},
+		{SizeBytes: 8 * 1024, Assoc: 4, BlockBytes: 32, Repl: FIFO},
+		{SizeBytes: 1024, Assoc: 1, BlockBytes: 32},
+	}
+	bankGeoms = [][]Config{stdGeoms, blockGeoms, fifoGeoms}
+)
+
+// bankAccess is one access of a bank's input stream.
+type bankAccess struct {
+	addr  uint32
+	store bool
+}
+
+// checkBank drives a bank of cfgs and one refCache per member with the
+// same stream, one access at a time. The bank's miss mask must equal
+// the mask the reference models produce on every access, and after
+// each Flush (every flushEvery accesses, and at the end) every member's
+// Stats must equal the counts tallied from the reference outcomes.
+func checkBank(t testing.TB, cfgs []Config, stream []bankAccess, flushEvery int) {
+	t.Helper()
+	members := make([]*Cache, len(cfgs))
+	refs := make([]*refCache, len(cfgs))
+	want := make([]Stats, len(cfgs))
+	for i, cfg := range cfgs {
+		members[i], refs[i] = mustNew(cfg), newRef(cfg)
+	}
+	bank, err := NewBank(members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkStats := func(n int) {
+		bank.Flush()
+		for i, c := range members {
+			if got := c.Stats(); got != want[i] {
+				t.Fatalf("%v after %d accesses: stats %+v, reference %+v", cfgs[i], n, got, want[i])
+			}
+		}
+	}
+	for n, a := range stream {
+		var wantMask uint64
+		for i, r := range refs {
+			want[i].Accesses++
+			if !r.access(a.addr) {
+				wantMask |= 1 << uint(i)
+				want[i].Misses++
+				if a.store {
+					want[i].StoreMisses++
+				} else {
+					want[i].LoadMisses++
+				}
+			}
+		}
+		if got := bank.Access(a.addr, a.store); got != wantMask {
+			t.Fatalf("%v: access %d addr %#x: miss mask %b, reference %b", cfgs, n, a.addr, got, wantMask)
+		}
+		if flushEvery > 0 && (n+1)%flushEvery == 0 {
+			checkStats(n + 1)
+		}
+	}
+	checkStats(len(stream))
+}
+
+// TestBankAgainstReferenceModel extends the reference-model oracle of
+// TestAgainstReferenceModel to banks: the six standard geometries (the
+// filtered path), Table S3's mixed block sizes and a bank with a FIFO
+// member (both unfiltered). The stream mixes same-block runs, which the
+// filter absorbs, with a hot working set, random accesses over 128 KB
+// and a sequential sweep that evicts from every geometry.
+func TestBankAgainstReferenceModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	stream := make([]bankAccess, 60000)
+	var addr uint32
+	for i := range stream {
+		switch rng.Intn(4) {
+		case 0: // same block again
+			addr = addr&^31 | uint32(rng.Intn(32))
+		case 1:
+			addr = uint32(rng.Intn(64)) * 32
+		case 2:
+			addr = uint32(rng.Intn(128 * 1024))
+		default:
+			addr = uint32(i * 12)
+		}
+		stream[i] = bankAccess{addr, rng.Intn(4) == 0}
+	}
+	for _, cfgs := range bankGeoms {
+		checkBank(t, cfgs, stream, 7919)
+	}
+	// A single member takes the filter too.
+	checkBank(t, stdGeoms[:1], stream, 0)
+}
+
+func TestNewBankLimits(t *testing.T) {
+	members := make([]*Cache, MaxBankMembers+1)
+	for i := range members {
+		members[i] = mustNew(Baseline)
+	}
+	if _, err := NewBank(members); err == nil {
+		t.Errorf("NewBank accepted %d members", len(members))
+	}
+	if _, err := NewBank(members[:MaxBankMembers]); err != nil {
+		t.Errorf("NewBank(%d members) = %v", MaxBankMembers, err)
+	}
+	empty, err := NewBank(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := empty.Access(0x1000, false); m != 0 {
+		t.Errorf("empty bank reported misses %b", m)
+	}
+	empty.Flush()
+}
+
+// FuzzBank decodes its input into an access stream and checks every
+// bank of bankGeoms against the reference models, as
+// TestBankAgainstReferenceModel does. Each access takes three bytes:
+// the first holds the store flag (bit 0), a mode (bit 1) and a byte
+// offset (bits 2-6); in relative mode the next byte is a signed word
+// step from the previous address, otherwise the next two bytes pick one
+// of 64K blocks of 32 bytes, a 2 MB span that conflicts in every
+// geometry.
+func FuzzBank(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 2, 1, 0, 0, 0, 0})
+	f.Add([]byte{1, 0, 1, 0, 0, 2, 0, 0, 4, 0, 0, 8, 0, 0, 16, 0, 0, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var stream []bankAccess
+		var addr uint32
+		for ; len(data) >= 3; data = data[3:] {
+			op := data[0]
+			if op&2 != 0 {
+				addr += uint32(int32(int8(data[1])) * 4)
+			} else {
+				addr = (uint32(data[2])<<8|uint32(data[1]))<<5 | uint32(op>>2)&31
+			}
+			stream = append(stream, bankAccess{addr, op&1 != 0})
+		}
+		for _, cfgs := range bankGeoms {
+			checkBank(t, cfgs, stream, 0)
+		}
+	})
+}
+
+// TestBankFlushForgetsFilter: after Flush the members may be driven
+// directly, so the bank must not trust a filter entry from before it.
+func TestBankFlushForgetsFilter(t *testing.T) {
+	c := mustNew(Baseline)
+	bank, err := NewBank([]*Cache{c, mustNew(Training)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bank.Access(0x1000, false)
+	if m := bank.Access(0x1000, false); m != 0 {
+		t.Fatalf("repeat access missed: %b", m)
+	}
+	bank.Flush()
+	if st := c.Stats(); st.Accesses != 2 || st.Misses != 1 {
+		t.Errorf("stats after Flush = %+v", st)
+	}
+	c.Reset()
+	if m := bank.Access(0x1000, false); m != 1 {
+		t.Errorf("access after Reset: miss mask %b, want 1", m)
 	}
 }

@@ -205,3 +205,52 @@ func TestTable3ListsAllH1Classes(t *testing.T) {
 		t.Errorf("Table 3 rows = %d, want %d", len(tab.Rows), classify.NumH1Classes)
 	}
 }
+
+// TestLRUInclusionOnBenchTraces checks, on the real access streams of
+// three training benchmarks, the cache-theory facts the simulator's
+// shared cache bank rests on. Under LRU with bit-selected sets a cache
+// with the same ways but more sets, or the same sets but more ways,
+// holds a superset of the smaller one's lines after every access, so
+// no load can miss more often in it. And each cache's own counters
+// must agree with the per-load attribution and the run's access count.
+func TestLRUInclusionOnBenchTraces(t *testing.T) {
+	chains := [][]int{
+		{GeomBaseline, Geom16K, Geom32K, Geom64K}, // 4 ways, 64 → 512 sets
+		{GeomAssoc2, Geom16K},                     // 128 sets, 2 → 4 ways
+	}
+	for _, name := range []string{"181.mcf", "008.espresso", "129.compress"} {
+		b := bench.ByName(name)
+		if b == nil || !b.Training {
+			t.Fatalf("%s is not a training benchmark", name)
+		}
+		ctx, err := Load(b, false, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := ctx.Run.Result
+		for _, chain := range chains {
+			for k := 1; k < len(chain); k++ {
+				small, large := res.LoadMisses[chain[k-1]], res.LoadMisses[chain[k]]
+				for i := range small {
+					if large[i] > small[i] {
+						t.Errorf("%s: load %d misses %d times in %v but %d in %v", name, i,
+							large[i], StdGeoms[chain[k]], small[i], StdGeoms[chain[k-1]])
+					}
+				}
+			}
+		}
+		for gi, c := range ctx.Run.Caches {
+			var sum int64
+			for _, m := range res.LoadMisses[gi] {
+				sum += m
+			}
+			st := c.Stats()
+			if uint64(sum) != st.LoadMisses {
+				t.Errorf("%s %v: per-load misses sum to %d, cache counted %d", name, StdGeoms[gi], sum, st.LoadMisses)
+			}
+			if st.Accesses != uint64(res.DataAccesses) {
+				t.Errorf("%s %v: cache saw %d accesses, the run %d", name, StdGeoms[gi], st.Accesses, res.DataAccesses)
+			}
+		}
+	}
+}

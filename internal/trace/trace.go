@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 
 	"delinq/internal/cache"
 	"delinq/internal/faultinject"
@@ -120,6 +121,10 @@ func Replay(r io.Reader, geoms ...cache.Config) ([]ReplayStats, error) {
 		caches[i] = c
 		stats[i].LoadMisses = map[uint32]int64{}
 	}
+	bank, err := cache.NewBank(caches)
+	if err != nil {
+		return nil, err
+	}
 	tr := NewReader(r)
 	var n int64
 	for {
@@ -131,12 +136,13 @@ func Replay(r io.Reader, geoms ...cache.Config) ([]ReplayStats, error) {
 			return nil, err
 		}
 		n++
-		for i, c := range caches {
-			if !c.Access(rec.Addr, rec.Store) && !rec.Store {
-				stats[i].LoadMisses[rec.PC]++
+		if missed := bank.Access(rec.Addr, rec.Store); missed != 0 && !rec.Store {
+			for ; missed != 0; missed &= missed - 1 {
+				stats[bits.TrailingZeros64(missed)].LoadMisses[rec.PC]++
 			}
 		}
 	}
+	bank.Flush()
 	for i, c := range caches {
 		stats[i].Records = n
 		stats[i].Cache = c.Stats()

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 
 	"delinq/internal/cache"
@@ -37,8 +38,11 @@ type Options struct {
 	// Exceeding it fails the run with ErrMemBudget. Zero means the
 	// default of DefaultMaxMem; negative means unlimited.
 	MaxMemBytes int64
-	// Caches are data-cache models fed by every load and store. Multiple
-	// geometries can be evaluated in a single run.
+	// Caches are data-cache models fed by every load and store through
+	// one cache.Bank, so at most cache.MaxBankMembers. Multiple
+	// geometries can be evaluated in a single run. Their Stats are exact
+	// once the run returns; during it, access counts lag by the hits the
+	// bank filters.
 	Caches []*cache.Cache
 	// CaptureOutput keeps syscall output in Result.Output.
 	CaptureOutput bool
@@ -142,11 +146,9 @@ type machine struct {
 	opts     Options
 	res      *Result
 	// Hot-path copies of Options fields, hoisted out of the step loop:
-	// caches is the attached cache list, miss0 is LoadMisses[0] when
-	// exactly one cache is attached (the single-cache fast path), and
-	// onAccess is the observation hook (nil when unused).
-	caches   []*cache.Cache
-	miss0    []int64
+	// bank feeds every attached cache (nil when none is), and onAccess
+	// is the observation hook (nil when unused).
+	bank     *cache.Bank
 	onAccess func(pc, addr uint32, store bool)
 	// ctx is non-nil only for cancellable contexts; the step loop then
 	// polls it every few thousand instructions.
@@ -195,14 +197,18 @@ func RunContext(ctx context.Context, img *obj.Image, opts Options) (*Result, err
 		}
 		m.code[i] = in
 	}
-	for range opts.Caches {
-		m.res.LoadMisses = append(m.res.LoadMisses, make([]int64, len(img.Text)))
+	if len(opts.Caches) > 0 {
+		if m.bank, err = cache.NewBank(opts.Caches); err != nil {
+			return nil, fmt.Errorf("vm: %w", err)
+		}
+		// The bank holds back the access counts of filtered hits; credit
+		// them however the run ends.
+		defer m.bank.Flush()
+		for range opts.Caches {
+			m.res.LoadMisses = append(m.res.LoadMisses, make([]int64, len(img.Text)))
+		}
 	}
-	m.caches = opts.Caches
 	m.onAccess = opts.OnAccess
-	if len(opts.Caches) == 1 {
-		m.miss0 = m.res.LoadMisses[0]
-	}
 	m.maxMem = opts.MaxMemBytes
 	// Initialise static data a page at a time (DataBase is page-aligned),
 	// checking the memory budget as pages materialise so a giant data
@@ -261,15 +267,11 @@ func (m *machine) access(pc uint32, addr uint32, isStore bool) {
 	if !isStore {
 		m.res.LoadAccesses[idx]++
 	}
-	if m.miss0 != nil {
-		// Single attached cache: no slice-of-slices indexing per access.
-		if !m.caches[0].Access(addr, isStore) && !isStore {
-			m.miss0[idx]++
-		}
-	} else {
-		for c, ch := range m.caches {
-			if !ch.Access(addr, isStore) && !isStore {
-				m.res.LoadMisses[c][idx]++
+	if m.bank != nil {
+		// Most accesses hit in every cache and leave missed zero.
+		if missed := m.bank.Access(addr, isStore); missed != 0 && !isStore {
+			for ; missed != 0; missed &= missed - 1 {
+				m.res.LoadMisses[bits.TrailingZeros64(missed)][idx]++
 			}
 		}
 	}

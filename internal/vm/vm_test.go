@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -318,6 +319,60 @@ loop:
 			small.Stats().LoadMisses, big.Stats().LoadMisses)
 	}
 	_ = res
+}
+
+// TestCacheLimit: the caches of one run share a cache.Bank, whose miss
+// mask has one bit per cache.
+func TestCacheLimit(t *testing.T) {
+	img, err := asm.Assemble("main:\n\tli $v0, 10\n\tsyscall\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	caches := make([]*cache.Cache, cache.MaxBankMembers+1)
+	for i := range caches {
+		caches[i] = mustCache(cache.Baseline)
+	}
+	if _, err := Run(img, Options{Caches: caches}); err == nil {
+		t.Errorf("Run accepted %d caches", len(caches))
+	}
+	if _, err := Run(img, Options{Caches: caches[:cache.MaxBankMembers]}); err != nil {
+		t.Errorf("Run with %d caches: %v", cache.MaxBankMembers, err)
+	}
+}
+
+// TestCacheStatsExactOnError: a run that dies on its instruction budget
+// must still leave every cache's counters complete, including the
+// same-block hits the bank filters out.
+func TestCacheStatsExactOnError(t *testing.T) {
+	img, err := asm.Assemble(`
+	.data
+a: .space 64
+	.text
+main:
+	la $t0, a
+spin:
+	lw $t1, 0($t0)
+	lw $t1, 4($t0)
+	b spin
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	caches := []*cache.Cache{mustCache(cache.Baseline), mustCache(cache.Training)}
+	var seen uint64
+	_, err = Run(img, Options{
+		Caches:   caches,
+		MaxInsts: 1000,
+		OnAccess: func(pc, addr uint32, store bool) { seen++ },
+	})
+	if !errors.Is(err, ErrBudget) {
+		t.Fatalf("err = %v, want budget exhaustion", err)
+	}
+	for _, c := range caches {
+		if st := c.Stats(); st.Accesses != seen || st.Misses != 1 {
+			t.Errorf("%v: stats %+v after %d accesses, want 1 miss", c.Config(), st, seen)
+		}
+	}
 }
 
 func TestRuntimeFaults(t *testing.T) {

@@ -64,7 +64,7 @@ go test -run 'TestCLITableCheckpointKillResume|TestCLIServeWarmRestart' ./cmd/de
 echo "== bench smoke"
 # One iteration of the cheap benchmarks: enough to catch a broken
 # benchmark without paying for a full measurement run.
-go test -run '^$' -bench 'BenchmarkCacheAccess' -benchtime 1x ./...
+go test -run '^$' -bench 'BenchmarkCacheAccess|BenchmarkCacheBank' -benchtime 1x ./...
 
 echo "== coverage floor"
 # Packages with dedicated correctness harnesses must stay above 75%
@@ -124,5 +124,6 @@ go test -fuzz '^FuzzAsmRoundTrip$' -fuzztime 5s -run '^$' ./internal/disasm
 go test -fuzz '^FuzzArmLowerRoundTrip$' -fuzztime 5s -run '^$' ./internal/disasm
 go test -fuzz '^FuzzDecodeImage$' -fuzztime 5s -run '^$' ./internal/obj
 go test -fuzz '^FuzzLowerImageBytes$' -fuzztime 5s -run '^$' ./internal/core
+go test -fuzz '^FuzzBank$' -fuzztime 5s -run '^$' ./internal/cache
 
 echo "OK"
