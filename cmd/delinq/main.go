@@ -561,8 +561,8 @@ func cmdTable(args []string) error {
 		bs, rs := bench.CacheStats()
 		fmt.Fprintf(os.Stderr,
 			"memo: builds hits=%d misses=%d joined=%d errors=%d; runs hits=%d misses=%d joined=%d errors=%d\n",
-			bs.Hits, bs.Misses, bs.Joined, bs.Errors,
-			rs.Hits, rs.Misses, rs.Joined, rs.Errors)
+			bs.Hits, bs.Misses, bs.Coalesced, bs.Errors,
+			rs.Hits, rs.Misses, rs.Coalesced, rs.Errors)
 	}
 	return err
 }

@@ -14,22 +14,19 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"strconv"
 	"strings"
-	"time"
 
 	"delinq/internal/asm"
 	"delinq/internal/cache"
 	"delinq/internal/core"
 	"delinq/internal/disasm"
 	"delinq/internal/faultinject"
-	"delinq/internal/memo"
 	"delinq/internal/metrics"
 	"delinq/internal/minic"
 	"delinq/internal/obj"
 	"delinq/internal/pattern"
-	"delinq/internal/retry"
+	"delinq/internal/rescache"
 	"delinq/internal/vm"
 )
 
@@ -117,14 +114,14 @@ type Run struct {
 func (r *Run) ExecCount(pc uint32) int64 { return r.Result.ExecAt(pc) }
 
 // builds memoises compiled binaries and runs completed simulations;
-// experiments across tables share them. Both are singleflight caches:
-// concurrent requests for the same key block on one in-flight
-// computation instead of duplicating it or serialising on a global
-// lock, which is what lets a worker pool saturate every core.
+// experiments across tables share them. All three are unbounded
+// singleflight caches: concurrent requests for the same key wait on one
+// in-flight computation instead of duplicating it or serialising on a
+// global lock, which is what lets a worker pool saturate every core.
 var (
-	builds     memo.Cache[*Build]
-	runs       memo.Cache[*Run]
-	interLoads memo.Cache[[]*pattern.Load]
+	builds     = rescache.New[*Build](rescache.Config{}, nil)
+	runs       = rescache.New[*Run](rescache.Config{}, nil)
+	interLoads = rescache.New[[]*pattern.Load](rescache.Config{}, nil)
 )
 
 // ResetCache clears the memoised builds and runs (used by tests and the
@@ -139,13 +136,13 @@ func ResetCache() {
 	interLoads.Reset()
 }
 
-// CacheStats returns the activity counters of the build and run memo
-// layers. Stats.Misses counts computations actually started, so after
+// CacheStats returns the activity counters of the build and run
+// caches. Stats.Misses counts computations actually started, so after
 // any sequence of concurrent experiments, Misses equals the number of
 // distinct (benchmark, optimize) builds and distinct (benchmark,
 // optimize, input, geometries) simulations performed — the exactly-once
 // property the concurrency tests assert.
-func CacheStats() (build, run memo.Stats) {
+func CacheStats() (build, run rescache.Stats) {
 	return builds.Stats(), runs.Stats()
 }
 
@@ -206,52 +203,45 @@ func runKey(bd *Build, input []int32, geoms []cache.Config) string {
 // Concurrent calls for the same (benchmark, optimize) pair share one
 // compilation.
 func Compile(b *Benchmark, optimize bool) (*Build, error) {
-	return CompileCtx(context.Background(), b, optimize)
+	return CompileISACtx(context.Background(), b, optimize, "")
 }
 
-// CompileCtx is Compile under a context: cancellation stops pattern
-// analysis at the next function boundary. Every failure is reported as
-// a *core.StageError naming the stage that failed; a pattern-analysis
-// failure degrades (see Build.Degraded) instead of failing the build.
-func CompileCtx(ctx context.Context, b *Benchmark, optimize bool) (*Build, error) {
-	return CompileISACtx(ctx, b, optimize, "")
-}
-
-// CompileISA is CompileCtx for a named machine description: the
-// assembled MIPS image is lowered through core.LowerImage before
-// disassembly and pattern analysis, so the cached Build's Prog and
-// Loads describe the target ISA's instructions. Builds for different
-// ISAs are memoised under distinct keys and never shared.
-func CompileISA(b *Benchmark, optimize bool, isaName string) (*Build, error) {
-	return CompileISACtx(context.Background(), b, optimize, isaName)
-}
-
-// CompileISACtx is CompileISA under a context.
+// CompileISACtx is Compile under a context for a named machine
+// description ("" is the assembler's native mips). The assembled MIPS
+// image is lowered through core.LowerImage before disassembly and
+// pattern analysis, so the cached Build's Prog and Loads describe the
+// target ISA's instructions; builds for different ISAs are memoised
+// under distinct keys and never shared. Cancellation stops pattern
+// analysis at the next function boundary, and a caller waiting on
+// another caller's compile returns as soon as its own ctx ends. Every
+// failure is reported as a *core.StageError naming the stage that
+// failed; a pattern-analysis failure degrades (see Build.Degraded)
+// instead of failing the build.
 func CompileISACtx(ctx context.Context, b *Benchmark, optimize bool, isaName string) (*Build, error) {
-	return builds.Do(buildKey(b.Name, optimize, isaName), func() (*Build, error) {
+	bd, _, err := builds.Do(ctx, buildKey(b.Name, optimize, isaName), func() (*Build, bool, error) {
 		asmText, err := minic.Compile(b.Source, minic.Options{Optimize: optimize})
 		if err != nil {
-			return nil, core.WrapStage(b.Name, core.StageCompile, err)
+			return nil, false, core.WrapStage(b.Name, core.StageCompile, err)
 		}
 		img, err := asm.Assemble(asmText)
 		if err != nil {
-			return nil, core.WrapStage(b.Name, core.StageAssemble, err)
+			return nil, false, core.WrapStage(b.Name, core.StageAssemble, err)
 		}
 		img, err = core.LowerImage(img, isaName)
 		if err != nil {
-			return nil, core.WrapStage(b.Name, core.StageAssemble, err)
+			return nil, false, core.WrapStage(b.Name, core.StageAssemble, err)
 		}
 		corruptImage(b.Name, img)
 		if err := img.Validate(); err != nil {
-			return nil, core.WrapStage(b.Name, core.StageAssemble, err)
+			return nil, false, core.WrapStage(b.Name, core.StageAssemble, err)
 		}
 		prog, err := disasm.Disassemble(img)
 		if err != nil {
-			return nil, core.WrapStage(b.Name, core.StageDisasm, err)
+			return nil, false, core.WrapStage(b.Name, core.StageDisasm, err)
 		}
 		loads, degraded, err := analyzePatterns(ctx, b.Name, prog)
 		if err != nil {
-			return nil, core.WrapStage(b.Name, core.StagePattern, err)
+			return nil, false, err
 		}
 		return &Build{
 			Bench:    b,
@@ -261,8 +251,24 @@ func CompileISACtx(ctx context.Context, b *Benchmark, optimize bool, isaName str
 			Prog:     prog,
 			Loads:    loads,
 			Degraded: degraded,
-		}, nil
+		}, true, nil
 	})
+	if err != nil {
+		return nil, stageErr(b.Name, core.StagePattern, err)
+	}
+	return bd, nil
+}
+
+// stageErr attributes a cache error to a pipeline stage: fill errors
+// already carry theirs, a recovered panic is a StageWorker failure, and
+// anything else — a failure of the fill's last stage, or a coalesced
+// waiter's own ctx ending — is charged to stage.
+func stageErr(name string, stage core.Stage, err error) error {
+	var pe *rescache.PanicError
+	if errors.As(err, &pe) {
+		stage = core.StageWorker
+	}
+	return core.WrapStage(name, stage, err)
 }
 
 // corruptImage is the CorruptImage fault seam: when armed it damages the
@@ -279,34 +285,13 @@ func corruptImage(name string, img *obj.Image) {
 	}
 }
 
-// patternRetrySleep, when non-nil, replaces the jittered backoff sleep
-// between pattern-analysis attempts (tests install a recorder; the
-// fault-free path never sleeps because the first attempt succeeds).
-var patternRetrySleep func(ctx context.Context, d time.Duration) error
-
-// patternPolicy is the retry schedule for pattern analysis of one
-// benchmark: two attempts — full budgets, then halved — separated by a
-// short capped backoff whose jitter is seeded by the benchmark name, so
-// a chaos storm replays the same schedule run after run.
-func patternPolicy(name string) retry.Policy {
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	return retry.Policy{
-		Attempts: 2,
-		Base:     25 * time.Millisecond,
-		Cap:      time.Second,
-		Jitter:   0.5,
-		Seed:     int64(h.Sum64()),
-		Sleep:    patternRetrySleep,
-	}
-}
-
-// analyzePatterns runs pattern analysis with graceful degradation: a
-// failure (or recovered panic) is retried through retry.Policy with
-// halved MaxPatterns and MaxNodes budgets after a jittered backoff; if
-// every attempt fails, every load degrades to the Unknown pattern and
-// the returned *core.StageError records why. Context cancellation is
-// never degraded — it propagates as the error.
+// analyzePatterns runs pattern analysis with graceful degradation.
+// Analysis is deterministic, so there is no backoff: a failure (or
+// recovered panic) is retried once, immediately, with halved
+// MaxPatterns and MaxNodes budgets; if that fails too, every load
+// degrades to the Unknown pattern and the returned *core.StageError
+// records why. Context cancellation is never degraded — it propagates
+// as the error.
 func analyzePatterns(ctx context.Context, name string, prog *disasm.Program) ([]*pattern.Load, *core.StageError, error) {
 	run := func(conf pattern.Config) (loads []*pattern.Load, err error) {
 		defer func() {
@@ -320,22 +305,17 @@ func analyzePatterns(ctx context.Context, name string, prog *disasm.Program) ([]
 		return pattern.AnalyzeProgramCtx(ctx, prog, conf)
 	}
 	conf := pattern.DefaultConfig()
-	var loads []*pattern.Load
-	err := patternPolicy(name).Do(ctx, func(attempt int) error {
-		c := conf
-		for i := 0; i < attempt; i++ {
-			c.MaxPatterns /= 2
-			c.MaxNodes /= 2
+	var err error
+	for pass := 0; pass < 2; pass++ {
+		if cerr := ctx.Err(); cerr != nil {
+			return nil, nil, cerr
 		}
-		l, rerr := run(c)
-		if rerr != nil {
-			return rerr
+		var loads []*pattern.Load
+		if loads, err = run(conf); err == nil {
+			return loads, nil, nil
 		}
-		loads = l
-		return nil
-	})
-	if err == nil {
-		return loads, nil, nil
+		conf.MaxPatterns /= 2
+		conf.MaxNodes /= 2
 	}
 	if ctx.Err() != nil {
 		return nil, nil, err
@@ -351,37 +331,39 @@ func analyzePatterns(ctx context.Context, name string, prog *disasm.Program) ([]
 // alongside it so the comparison tables can render both without
 // recomputing either.
 func LoadsInter(bd *Build) []*pattern.Load {
-	out, _ := interLoads.Do(buildKey(bd.Bench.Name, bd.Optimize, bd.ISA)+"|inter", func() ([]*pattern.Load, error) {
+	out, _, _ := interLoads.Do(context.Background(), buildKey(bd.Bench.Name, bd.Optimize, bd.ISA)+"|inter", func() ([]*pattern.Load, bool, error) {
 		conf := pattern.DefaultConfig()
 		conf.Interprocedural = true
-		return pattern.AnalyzeProgram(bd.Prog, conf), nil
+		return pattern.AnalyzeProgram(bd.Prog, conf), true, nil
 	})
 	return out
 }
 
 // Simulate runs the binary on the given input, attaching one D-cache per
 // geometry; results are memoised, and concurrent calls for the same
-// request block on a single simulation. The key is the request's
-// content, not the *Build pointer, so after a concurrent ResetCache the
-// returned Run may reference a distinct but equivalent Build from the
-// caller's argument.
+// request share a single simulation. The key is the request's content,
+// not the *Build pointer, so after a concurrent ResetCache the returned
+// Run may reference a distinct but equivalent Build from the caller's
+// argument.
 func Simulate(bd *Build, input []int32, geoms []cache.Config) (*Run, error) {
 	return SimulateCtx(context.Background(), bd, input, geoms)
 }
 
 // SimulateCtx is Simulate under a context: a deadline or cancellation
-// stops the VM within a few thousand instructions. Failures surface as
-// *core.StageError — StageSimulate for VM and geometry faults,
-// StageWorker for a panic recovered by the memo layer.
+// stops the VM within a few thousand instructions, and a caller waiting
+// on another caller's simulation returns as soon as its own ctx ends
+// (the simulation keeps running for the others). Failures surface as
+// *core.StageError — StageSimulate for VM and geometry faults and for
+// an abandoned wait, StageWorker for a recovered panic.
 func SimulateCtx(ctx context.Context, bd *Build, input []int32, geoms []cache.Config) (*Run, error) {
 	name := bd.Bench.Name
-	r, err := runs.Do(runKey(bd, input, geoms), func() (*Run, error) {
+	r, _, err := runs.Do(ctx, runKey(bd, input, geoms), func() (*Run, bool, error) {
 		faultinject.Crash(faultinject.WorkerPanic, name)
 		caches := make([]*cache.Cache, len(geoms))
 		for i, gcfg := range geoms {
 			c, err := cache.New(gcfg)
 			if err != nil {
-				return nil, core.WrapStage(name, core.StageSimulate, err)
+				return nil, false, err
 			}
 			caches[i] = c
 		}
@@ -391,16 +373,12 @@ func SimulateCtx(ctx context.Context, bd *Build, input []int32, geoms []cache.Co
 		}
 		res, err := vm.RunContext(ctx, bd.Image, opts)
 		if err != nil {
-			return nil, core.WrapStage(name, core.StageSimulate, err)
+			return nil, false, err
 		}
-		return &Run{Build: bd, Input: input, Result: res, Caches: caches}, nil
+		return &Run{Build: bd, Input: input, Result: res, Caches: caches}, true, nil
 	})
 	if err != nil {
-		var pe *memo.PanicError
-		if errors.As(err, &pe) {
-			return nil, core.WrapStage(name, core.StageWorker, err)
-		}
-		return nil, core.WrapStage(name, core.StageSimulate, err)
+		return nil, stageErr(name, core.StageSimulate, err)
 	}
 	return r, nil
 }

@@ -1,12 +1,15 @@
 package bench
 
 import (
+	"context"
+	"errors"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
 	"delinq/internal/cache"
+	"delinq/internal/core"
 )
 
 // TestKeysCanonical: logically identical requests share a key; requests
@@ -168,4 +171,74 @@ func TestResetCacheDuringWork(t *testing.T) {
 		t.Errorf("inflight computations leaked: %+v", rs)
 	}
 	ResetCache()
+}
+
+// TestCoalescedWaiterHonoursOwnContext: a caller joined to another
+// caller's in-flight simulation returns as soon as its own ctx ends,
+// with a simulate-stage error, while the simulation runs on for its
+// owner and is retained.
+func TestCoalescedWaiterHonoursOwnContext(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulations in short mode")
+	}
+	ResetCache()
+	defer ResetCache()
+	b := ByName("126.gcc")
+	bd, err := Compile(b, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Several geometries keep the owner's simulation running long after
+	// the waiter has given up.
+	geoms := []cache.Config{
+		cache.Baseline,
+		{SizeBytes: 16384, Assoc: 4, BlockBytes: 32},
+		{SizeBytes: 32768, Assoc: 4, BlockBytes: 32},
+		{SizeBytes: 8192, Assoc: 2, BlockBytes: 32},
+		{SizeBytes: 8192, Assoc: 8, BlockBytes: 32},
+	}
+
+	type result struct {
+		run *Run
+		err error
+	}
+	owner := make(chan result, 1)
+	go func() {
+		r, err := Simulate(bd, b.Input1, geoms)
+		owner <- result{r, err}
+	}()
+	for {
+		if _, rs := CacheStats(); rs.Inflight == 1 {
+			break
+		}
+		runtime.Gosched()
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err = SimulateCtx(ctx, bd, b.Input1, geoms)
+	select {
+	case <-owner:
+		t.Fatal("the cancelled waiter returned only after the simulation finished")
+	default:
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("waiter err = %v, want context.Canceled", err)
+	}
+	var se *core.StageError
+	if !errors.As(err, &se) || se.Stage != core.StageSimulate || se.Benchmark != b.Name {
+		t.Errorf("waiter err = %v, want a simulate-stage *core.StageError for %s", err, b.Name)
+	}
+
+	got := <-owner
+	if got.err != nil {
+		t.Fatalf("owner's simulation failed: %v", got.err)
+	}
+	_, rs := CacheStats()
+	if rs.Misses != 1 || rs.Coalesced != 1 || rs.Entries != 1 || rs.Inflight != 0 {
+		t.Errorf("runs stats = %+v, want 1 miss, 1 coalesced, 1 entry", rs)
+	}
+	if r, ok := runs.Get(runKey(bd, b.Input1, geoms)); !ok || r != got.run {
+		t.Error("the owner's run was not retained")
+	}
 }

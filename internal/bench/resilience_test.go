@@ -1,16 +1,14 @@
 package bench
 
 import (
-	"context"
 	"errors"
 	"testing"
-	"time"
 
 	"delinq/internal/cache"
 	"delinq/internal/core"
 	"delinq/internal/faultinject"
-	"delinq/internal/memo"
 	"delinq/internal/pattern"
+	"delinq/internal/rescache"
 	"delinq/internal/vm"
 )
 
@@ -52,63 +50,6 @@ func TestPatternRetryRecovers(t *testing.T) {
 	}
 	if !structured {
 		t.Error("retry produced only Unknown patterns")
-	}
-}
-
-// TestPatternRetryBackoff pins the retry mechanics now routed through
-// internal/retry: the one-shot fault triggers exactly one jittered
-// backoff sleep, the schedule is deterministic in the benchmark name,
-// and a fault-free compile never sleeps at all (so goldens can't move).
-func TestPatternRetryBackoff(t *testing.T) {
-	b := ByName("181.mcf")
-
-	record := func() []time.Duration {
-		var slept []time.Duration
-		patternRetrySleep = func(_ context.Context, d time.Duration) error {
-			slept = append(slept, d)
-			return nil
-		}
-		t.Cleanup(func() { patternRetrySleep = nil })
-		p := faultinject.NewPlan(1)
-		p.ArmN(faultinject.PatternBudget, b.Name, 1)
-		withPlan(t, p)
-		if _, err := Compile(b, false); err != nil {
-			t.Fatalf("compile with one-shot pattern fault: %v", err)
-		}
-		return slept
-	}
-
-	first := record()
-	if len(first) != 1 {
-		t.Fatalf("slept %d times, want exactly 1 backoff", len(first))
-	}
-	pol := patternPolicy(b.Name)
-	raw := pol.Backoff(0)
-	lo := time.Duration(float64(raw) * (1 - pol.Jitter/2))
-	hi := time.Duration(float64(raw) * (1 + pol.Jitter/2))
-	if first[0] < lo || first[0] > hi {
-		t.Errorf("backoff %v outside jitter window [%v, %v]", first[0], lo, hi)
-	}
-
-	second := record()
-	if len(second) != 1 || second[0] != first[0] {
-		t.Errorf("backoff not deterministic: %v vs %v", first, second)
-	}
-
-	// Fault-free: the first attempt succeeds, the sleeper never runs.
-	var slept []time.Duration
-	patternRetrySleep = func(_ context.Context, d time.Duration) error {
-		slept = append(slept, d)
-		return nil
-	}
-	defer func() { patternRetrySleep = nil }()
-	faultinject.Clear()
-	ResetCache()
-	if _, err := Compile(b, false); err != nil {
-		t.Fatal(err)
-	}
-	if len(slept) != 0 {
-		t.Errorf("fault-free compile slept %v; the hot path must not back off", slept)
 	}
 }
 
@@ -186,7 +127,7 @@ func TestWorkerPanicFailsWorkerStage(t *testing.T) {
 	if !errors.Is(err, &core.StageError{Stage: core.StageWorker}) {
 		t.Fatalf("err = %v, want worker-stage StageError", err)
 	}
-	var pe *memo.PanicError
+	var pe *rescache.PanicError
 	if !errors.As(err, &pe) {
 		t.Errorf("recovered panic not surfaced as PanicError: %v", err)
 	}

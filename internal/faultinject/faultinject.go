@@ -35,8 +35,9 @@ const (
 	// point plus seed-dependent text/data damage) before validation.
 	CorruptImage Point = iota
 	// PatternBudget makes address-pattern analysis fail with a budget-
-	// exhaustion error, exercising the halved-budget retry and the
-	// declare-Unknown fallback.
+	// exhaustion error, exercising the second, halved-budget analysis
+	// pass (run immediately, with no backoff) and the declare-Unknown
+	// fallback.
 	PatternBudget
 	// SimBudget collapses the VM instruction budget so simulation fails
 	// with the budget-exhausted fault almost immediately.
@@ -44,7 +45,7 @@ const (
 	// TraceFlip flips bytes in an encoded trace stream during replay.
 	TraceFlip
 	// WorkerPanic panics inside the experiment worker's computation,
-	// exercising panic recovery in the memo layer and the worker pool.
+	// exercising panic recovery in rescache and the worker pool.
 	WorkerPanic
 	// WALWrite fires inside a durable-state append, before the record
 	// bytes reach the file: error mode fails the append; lethal mode
@@ -260,7 +261,7 @@ func Error(pt Point, target string) error {
 }
 
 // Crash panics with a *Fault if the seam fires. The panic is the whole
-// point: it exercises the pipeline's recovery paths (memo layer, worker
+// point: it exercises the pipeline's recovery paths (rescache, worker
 // pool, renderer); it is unreachable unless a plan deliberately arms
 // this seam.
 func Crash(pt Point, target string) {

@@ -1,8 +1,8 @@
 // Interprocedural address patterns: bounded per-function summaries over
 // the call graph. Phase 1 walks the strongly connected components in
 // callee-first order (functions computed in parallel, memoised through
-// internal/memo) and records, per function, the address pattern of its
-// return value and how deeply its loads dereference each argument
+// internal/rescache) and records, per function, the address pattern of
+// its return value and how deeply its loads dereference each argument
 // register. Phase 2 walks callers-first, propagating the argument
 // patterns that arrive at every direct call site, and rebuilds each
 // function's load patterns with both directions resolved: a Ret leaf
@@ -14,6 +14,7 @@
 package pattern
 
 import (
+	"context"
 	"strconv"
 	"sync"
 
@@ -22,7 +23,7 @@ import (
 	"delinq/internal/disasm"
 	"delinq/internal/isa"
 	"delinq/internal/isa/mips"
-	"delinq/internal/memo"
+	"delinq/internal/rescache"
 )
 
 // Summary is the bounded interprocedural abstract of one function.
@@ -49,7 +50,7 @@ type Summaries struct {
 	conf Config
 	m    isa.Machine
 
-	cache memo.Cache[*Summary]
+	cache *rescache.Cache[*Summary]
 
 	// incoming maps a function to the deduplicated argument patterns
 	// arriving at its direct call sites, per argument register. It is
@@ -61,16 +62,21 @@ type Summaries struct {
 
 // ComputeSummaries builds the call graph of p and computes every
 // function's Summary bottom-up (callees first). Functions are computed
-// concurrently; the memo layer guarantees each summary is computed
-// exactly once, with cross-component dependencies resolved by joining
-// the in-flight computation.
+// concurrently; the singleflight cache guarantees each summary is
+// computed exactly once, with cross-component dependencies resolved by
+// joining the in-flight computation.
 func ComputeSummaries(p *disasm.Program, conf Config) *Summaries {
 	conf = conf.withDefaults()
 	m, err := isa.ByName(p.Image.ISAName())
 	if err != nil {
 		m = mips.M
 	}
-	s := &Summaries{cg: callgraph.Build(p), conf: conf, m: m}
+	s := &Summaries{
+		cg:    callgraph.Build(p),
+		conf:  conf,
+		m:     m,
+		cache: rescache.New[*Summary](rescache.Config{}, nil),
+	}
 	var wg sync.WaitGroup
 	for _, comp := range s.cg.SCCs() {
 		for _, n := range comp {
@@ -97,8 +103,8 @@ func (s *Summaries) summaryOf(fn *disasm.Func) *Summary {
 	if s.cg.NodeOf(fn) == nil {
 		return nil
 	}
-	sum, _ := s.cache.Do(summaryKey(fn), func() (*Summary, error) {
-		return s.compute(fn), nil
+	sum, _, _ := s.cache.Do(context.Background(), summaryKey(fn), func() (*Summary, bool, error) {
+		return s.compute(fn), true, nil
 	})
 	return sum
 }

@@ -1,11 +1,15 @@
-// Package rescache is the serve layer's content-addressed result
-// cache: a bounded LRU keyed by canonical request digests, carrying the
-// fully rendered response for each key, with singleflight request
-// coalescing lifted from internal/memo. It differs from memo in three
-// ways that matter at fleet scale:
+// Package rescache is the repository's one keyed, once-only result
+// cache. Concurrent callers of Do with the same key share one in-flight
+// fill — the first caller runs it, later callers wait for it — so an
+// expensive computation is never duplicated and never serialised behind
+// an unrelated one. The experiment engine (bench builds and runs,
+// pattern summaries, tables training) uses it unbounded; the serve
+// layer uses it as a content-addressed LRU keyed by canonical request
+// digests, carrying the fully rendered response for each key. Three
+// properties matter at fleet scale:
 //
-//   - retention is bounded: an entry-count cap and a byte-size cap evict
-//     from the LRU tail, and an optional TTL expires stale entries
+//   - retention can be bounded: an entry-count cap and a byte-size cap
+//     evict from the LRU tail, and an optional TTL expires stale entries
 //     lazily on access, so the cache cannot grow without bound under
 //     millions of distinct requests;
 //   - the filler decides cacheability per result: a degraded render or
@@ -16,20 +20,42 @@
 //     cancelled (client disconnect, per-request deadline, drain abort)
 //     while the fill itself keeps running for the remaining waiters.
 //
-// A panicking fill is recovered into a *memo.PanicError and delivered
-// to every joined waiter — exactly the memo contract — and, like any
-// error, is not retained: the next Do for the key recomputes.
+// A panicking fill is recovered into a *PanicError and delivered to
+// every joined waiter and, like any error, is not retained: the next Do
+// for the key recomputes.
 package rescache
 
 import (
 	"container/list"
 	"context"
+	"fmt"
 	"runtime/debug"
 	"sync"
 	"time"
-
-	"delinq/internal/memo"
 )
+
+// PanicError is delivered to every caller of a fill that panicked: the
+// cache recovers the panic so joined waiters are released instead of
+// deadlocking on a done channel that would never close, and so one
+// crashed computation degrades gracefully rather than killing the
+// worker pool above it.
+type PanicError struct {
+	Value any    // the recovered panic value
+	Stack []byte // stack of the panicking goroutine, for diagnostics
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("rescache: fill panicked: %v", e.Value)
+}
+
+// Unwrap exposes the panic value to errors.Is/As when it was itself an
+// error (e.g. a deliberate fault-injection crash).
+func (e *PanicError) Unwrap() error {
+	if err, ok := e.Value.(error); ok {
+		return err
+	}
+	return nil
+}
 
 // Outcome reports how one Do call was answered.
 type Outcome int
@@ -78,7 +104,7 @@ type Config struct {
 
 // Stats is a snapshot of the cache's activity counters. Hits, Misses,
 // Coalesced, Errors, Uncacheable, EvictedSize and EvictedTTL are
-// monotonic; Entries and Bytes are the current retention.
+// monotonic until Reset; Entries, Bytes and Inflight are current.
 type Stats struct {
 	Hits        uint64 // answered from a retained entry (warm hits included)
 	WarmHits    uint64 // the subset of Hits answered from seeded (replayed) entries
@@ -90,6 +116,7 @@ type Stats struct {
 	EvictedTTL  uint64 // entries dropped because their TTL had expired
 	Entries     int    // retained entries now
 	Bytes       int64  // summed Size of retained values now
+	Inflight    int    // fills running now (detached fills excluded)
 }
 
 // Cache is a bounded, content-addressed, request-coalescing result
@@ -139,13 +166,13 @@ func New[V any](cfg Config, size func(V) int) *Cache[V] {
 	}
 }
 
-// protect runs fill, converting a panic into a *memo.PanicError so
-// joined waiters are released instead of deadlocking.
+// protect runs fill, converting a panic into a *PanicError so joined
+// waiters are released instead of deadlocking.
 func protect[V any](fill func() (V, bool, error)) (v V, cacheable bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			var zero V
-			v, cacheable, err = zero, false, &memo.PanicError{Value: r, Stack: debug.Stack()}
+			v, cacheable, err = zero, false, &PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
 	return fill()
@@ -300,16 +327,18 @@ func (c *Cache[V]) Stats() Stats {
 	st := c.stats
 	st.Entries = c.lru.Len()
 	st.Bytes = c.bytes
+	// A complete entry in the map is always in the LRU, so the rest of
+	// the map is exactly the registered in-flight fills.
+	st.Inflight = len(c.entries) - st.Entries
 	return st
 }
 
 // Reset drops every retained entry and zeroes the counters. In-flight
-// fills are detached, exactly as in memo: they complete and answer
-// their waiters, but their results are not retained, and a Do issued
-// after the Reset starts a fresh fill even for the same key. The
-// eviction hook is NOT called: Reset is an administrative wipe, not an
-// eviction, and durable state keyed off the hook must not mistake it
-// for one.
+// fills are detached: they complete and answer their waiters, but
+// their results are not retained, and a Do issued after the Reset
+// starts a fresh fill even for the same key. The eviction hook is NOT
+// called: Reset is an administrative wipe, not an eviction, and durable
+// state keyed off the hook must not mistake it for one.
 func (c *Cache[V]) Reset() {
 	c.mu.Lock()
 	c.entries = map[string]*entry[V]{}

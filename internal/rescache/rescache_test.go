@@ -8,8 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"delinq/internal/memo"
 )
 
 // fakeClock is the injectable clock: tests advance it explicitly so TTL
@@ -66,7 +64,7 @@ func TestHitMissBasics(t *testing.T) {
 	}
 }
 
-// TestExactlyOnce is the memo-style concurrency battery: N goroutines
+// TestExactlyOnce is the singleflight concurrency battery: N goroutines
 // racing on one key must execute the fill exactly once; every caller
 // gets the same value; exactly one caller reports OutcomeMiss.
 func TestExactlyOnce(t *testing.T) {
@@ -114,7 +112,7 @@ func TestExactlyOnce(t *testing.T) {
 			misses.Load(), coalesced.Load(), hits.Load())
 	}
 	st := c.Stats()
-	if st.Misses != 1 || st.Coalesced != uint64(coalesced.Load()) {
+	if st.Misses != 1 || st.Coalesced != uint64(coalesced.Load()) || st.Inflight != 0 {
 		t.Errorf("stats disagree with observed outcomes: %+v", st)
 	}
 }
@@ -283,8 +281,8 @@ func TestErrorNotRetained(t *testing.T) {
 	if v != "ok" || o != OutcomeMiss || err != nil {
 		t.Fatalf("retry after error = (%q, %v, %v), want fresh miss", v, o, err)
 	}
-	if st := c.Stats(); st.Errors != 1 || st.Misses != 2 {
-		t.Errorf("stats = %+v, want 1 error, 2 misses", st)
+	if st := c.Stats(); st.Errors != 1 || st.Misses != 2 || st.Entries != 1 {
+		t.Errorf("stats = %+v, want 1 error, 2 misses, 1 entry", st)
 	}
 }
 
@@ -311,7 +309,7 @@ func TestUncacheableNotRetained(t *testing.T) {
 }
 
 // TestPanicPropagatesToAllWaiters: a panicking fill delivers a
-// *memo.PanicError to the executor AND every coalesced waiter, and
+// *PanicError to the executor AND every coalesced waiter, and
 // poisons nothing — the next Do succeeds.
 func TestPanicPropagatesToAllWaiters(t *testing.T) {
 	const waiters = 16
@@ -354,9 +352,9 @@ func TestPanicPropagatesToAllWaiters(t *testing.T) {
 	close(errs)
 
 	check := func(err error) {
-		var pe *memo.PanicError
+		var pe *PanicError
 		if !errors.As(err, &pe) {
-			t.Fatalf("waiter got %v, want *memo.PanicError", err)
+			t.Fatalf("waiter got %v, want *PanicError", err)
 		}
 		if pe.Value != "deliberate fill panic" {
 			t.Errorf("panic value = %v", pe.Value)
@@ -375,8 +373,23 @@ func TestPanicPropagatesToAllWaiters(t *testing.T) {
 	if v != "recovered" || o != OutcomeMiss || err != nil {
 		t.Fatalf("Do after panic = (%q, %v, %v), want fresh success", v, o, err)
 	}
-	if st := c.Stats(); st.Errors != 1 || st.Entries != 1 {
+	if st := c.Stats(); st.Errors != 1 || st.Entries != 1 || st.Inflight != 0 {
 		t.Errorf("stats after recovery = %+v", st)
+	}
+}
+
+// TestPanicErrorUnwrap: an error panic value is reachable through
+// errors.Is/As; a non-error value unwraps to nil.
+func TestPanicErrorUnwrap(t *testing.T) {
+	cause := errors.New("cause")
+	c := New[int](Config{}, nil)
+	_, _, err := c.Do(context.Background(), "k", func() (int, bool, error) { panic(cause) })
+	if !errors.Is(err, cause) {
+		t.Errorf("error panic value not reachable: %v", err)
+	}
+	pe := &PanicError{Value: 7}
+	if pe.Unwrap() != nil {
+		t.Error("non-error panic value unwrapped to non-nil")
 	}
 }
 
@@ -435,7 +448,13 @@ func TestResetDetachesInflight(t *testing.T) {
 		got <- v
 	}()
 	<-started
+	if st := c.Stats(); st.Inflight != 1 {
+		t.Fatalf("Inflight = %d during the fill, want 1", st.Inflight)
+	}
 	c.Reset()
+	if st := c.Stats(); st.Inflight != 0 {
+		t.Errorf("Inflight = %d after Reset, want 0 (the fill is detached)", st.Inflight)
+	}
 	close(release)
 	if v := <-got; v != "detached" {
 		t.Fatalf("detached fill answered %q", v)
@@ -447,6 +466,37 @@ func TestResetDetachesInflight(t *testing.T) {
 	c.Do(context.Background(), "k", func() (string, bool, error) { fills.Add(1); return "new", true, nil })
 	if fills.Load() != 1 {
 		t.Error("post-Reset Do did not recompute")
+	}
+}
+
+// TestConcurrentMixedKeysWithReset hammers the cache from many
+// goroutines over a small key space while one of them keeps resetting
+// it: every caller still gets its key's value (meaningful chiefly
+// under -race).
+func TestConcurrentMixedKeysWithReset(t *testing.T) {
+	c := New[int](Config{}, nil)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				key := fmt.Sprintf("k%d", i%5)
+				want := i % 5
+				v, _, err := c.Do(context.Background(), key, func() (int, bool, error) { return want, true, nil })
+				if err != nil || v != want {
+					t.Errorf("Do(%s) = %v, %v", key, v, err)
+					return
+				}
+				if g == 0 && i%50 == 0 {
+					c.Reset()
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if st := c.Stats(); st.Inflight != 0 {
+		t.Errorf("Inflight = %d after all callers returned", st.Inflight)
 	}
 }
 

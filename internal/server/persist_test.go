@@ -101,7 +101,7 @@ func TestWarmRestartMetrics(t *testing.T) {
 }
 
 func TestPoisonedFillNotPersisted(t *testing.T) {
-	// A fill that panics (recovered into memo.PanicError) answers 500
+	// A fill that panics (recovered into rescache.PanicError) answers 500
 	// and must leave no trace in the durable log: the restarted daemon
 	// recomputes instead of replaying poison.
 	dir := t.TempDir()

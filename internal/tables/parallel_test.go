@@ -43,9 +43,9 @@ func TestPreloadExactlyOnce(t *testing.T) {
 		t.Errorf("runs: %+v, want exactly 2 misses/entries", rs)
 	}
 	// 3 pools × 12 combos = 36 requests for 2 results: the other 34
-	// were answered by joins or hits.
-	if rs.Hits+rs.Joined != 34 {
-		t.Errorf("runs hits+joined = %d, want 34 (%+v)", rs.Hits+rs.Joined, rs)
+	// were answered by coalescing or hits.
+	if rs.Hits+rs.Coalesced != 34 {
+		t.Errorf("runs hits+coalesced = %d, want 34 (%+v)", rs.Hits+rs.Coalesced, rs)
 	}
 	bench.ResetCache()
 }

@@ -18,6 +18,7 @@ import (
 	"delinq/internal/classify"
 	"delinq/internal/core"
 	"delinq/internal/metrics"
+	"delinq/internal/rescache"
 	"delinq/internal/train"
 )
 
@@ -325,16 +326,8 @@ func (c *Ctx) Scores(cfg classify.Config) map[uint32]float64 {
 
 // --- trained weights ----------------------------------------------------------
 
-// trainOutcome is one completed learning phase for one ISA.
-type trainOutcome struct {
-	report *train.Report
-	err    error
-}
-
-var (
-	trainMu   sync.Mutex
-	trainRuns = map[string]*trainOutcome{}
-)
+// trainRuns memoises one learning phase per canonical ISA name.
+var trainRuns = rescache.New[*train.Report](rescache.Config{}, nil)
 
 var (
 	isaMu      sync.RWMutex
@@ -377,34 +370,29 @@ func TrainedReport() (*train.Report, error) {
 // the same learning phase, but over binaries lowered to that ISA, so
 // each backend gets weights fitted to its own pattern population. The
 // reports are memoised per ISA; "" resolves through SetISA (mips by
-// default).
+// default). Different ISAs train concurrently; concurrent first callers
+// for one ISA share its single training run. A failed run is not
+// retained: the next call retrains.
 func TrainedReportISA(isaName string) (*train.Report, error) {
 	key := isaOrDefault(isaName)
-	trainMu.Lock()
-	defer trainMu.Unlock()
-	tr := trainRuns[key]
-	if tr == nil {
-		tr = &trainOutcome{}
-		samples, err := TrainingSamplesISA(isaName)
+	rep, _, err := trainRuns.Do(context.Background(), key, func() (*train.Report, bool, error) {
+		samples, err := TrainingSamplesISA(key)
 		if err != nil {
-			tr.err = err
-		} else {
-			tr.report = train.Train(samples, train.DefaultConfig())
+			return nil, false, err
 		}
-		trainRuns[key] = tr
-	}
-	return tr.report, tr.err
+		return train.Train(samples, train.DefaultConfig()), true, nil
+	})
+	return rep, err
 }
 
 // ResetTraining drops the memoised training reports (every ISA) so the
 // learning phase reruns (testing and benchmark hook; pair with
 // bench.ResetCache for a fully cold pipeline). Safe to call
 // concurrently with TrainedReport: a training run already in progress
-// completes first (the reset blocks on it), then the memo is cleared.
+// is detached — it completes and answers its own callers, but its
+// report is not retained, and a later call trains afresh.
 func ResetTraining() {
-	trainMu.Lock()
-	trainRuns = map[string]*trainOutcome{}
-	trainMu.Unlock()
+	trainRuns.Reset()
 }
 
 // TrainingSamples builds the per-benchmark training data (Section 6's

@@ -76,7 +76,7 @@ go test -cover \
     ./internal/minic ./internal/asm ./internal/obj ./internal/disasm \
     ./internal/cfg ./internal/dataflow ./internal/callgraph \
     ./internal/faultinject ./internal/cache \
-    ./internal/server ./internal/retry ./internal/metrics \
+    ./internal/server ./internal/metrics \
     ./internal/rescache ./internal/isa/mips ./internal/isa/arm \
     ./internal/wal ./internal/workerpool |
 awk '
