@@ -336,25 +336,49 @@ func BenchmarkCacheAccess(b *testing.B) {
 	}
 }
 
-// BenchmarkCacheBank feeds cacheBenchAddrs to the six standard
-// geometries through one cache.Bank, as every sweep simulation does; an
-// op is one access delivered to all six.
+// cacheBankAddrs turns cacheBenchAddrs into same-block runs, as
+// programs issue them: each address of the mix starts a run of one to
+// eight consecutive words inside its 32 B block, so a bank's filter has
+// repeats to absorb under any of the sweep's block sizes.
+func cacheBankAddrs() []uint32 {
+	rng := rand.New(rand.NewSource(2))
+	base := cacheBenchAddrs()
+	addrs := make([]uint32, len(base))
+	for i, j := 0, 0; i < len(addrs); j++ {
+		for w := uint32(rng.Intn(8)); w < 8 && i < len(addrs); w++ {
+			addrs[i] = base[j]&^31 | w*4
+			i++
+		}
+	}
+	return addrs
+}
+
+// BenchmarkCacheBank feeds cacheBankAddrs through one cache.Bank to the
+// six standard geometries, as every sweep simulation does, and to Table
+// S3's block-size sweep; an op is one access delivered to every member.
 func BenchmarkCacheBank(b *testing.B) {
-	addrs := cacheBenchAddrs()
-	caches := make([]*cache.Cache, len(tables.StdGeoms))
-	for i, g := range tables.StdGeoms {
-		caches[i] = mustCache(g)
+	addrs := cacheBankAddrs()
+	for _, tc := range []struct {
+		name  string
+		geoms []cache.Config
+	}{{"std", tables.StdGeoms}, {"S3", tables.BlockGeoms}} {
+		b.Run(tc.name, func(b *testing.B) {
+			caches := make([]*cache.Cache, len(tc.geoms))
+			for i, g := range tc.geoms {
+				caches[i] = mustCache(g)
+			}
+			bank, err := cache.NewBank(caches)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				bank.Access(addrs[i&(len(addrs)-1)], i&7 == 7)
+			}
+			bank.Flush()
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "accesses/sec")
+		})
 	}
-	bank, err := cache.NewBank(caches)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bank.Access(addrs[i&(len(addrs)-1)], i&7 == 7)
-	}
-	bank.Flush()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "accesses/sec")
 }
 
 // BenchmarkTableAllParallel regenerates every table from cold caches

@@ -10,21 +10,27 @@ const MaxBankMembers = 64
 // tables need when they score every load under several geometries in
 // one run.
 //
-// When every member is LRU and all share one block size, the bank
-// filters out accesses that would be an MRU hit in every member. Under
-// bit-selected set indexing the sets of a cache with more sets refine
-// the sets of one with fewer: two blocks that share a set in the finer
-// cache share one in the coarser. So if block B was the last access to
-// land in set s of the member with the fewest sets, nothing has touched
-// any member's set holding B since, and B is still MRU there, whatever
-// the associativity. A repeat access to B hits everywhere and changes
-// no state except the access counters, which the bank keeps in one
-// word until Flush. The filter holds, per coarse set, the block number
-// plus one of its last access (zero: none yet).
+// The bank filters out accesses that would hit without changing state
+// in every member, whatever the members' block sizes, set counts,
+// associativities and policies. Member i with 2^b_i-byte blocks and
+// 2^s_i sets picks a set from address bits [b_i, b_i+s_i). The filter
+// has one slot per value of the bits every member's set index shares,
+// [max b_i, min(b_i+s_i)), or a single slot when that range is empty,
+// and each slot holds the finest block number, addr >> min b_i, of the
+// last access to land in it, plus one (zero: none yet). Any access that
+// touches a member's set holding some block carries that set's index
+// bits, and so the shared bits too: it lands in the block's slot. So if
+// a slot still names the finest block of an access, nothing has touched
+// any member's set holding that block since the last access to it: the
+// block is resident in every member and, under LRU, still MRU. The
+// repeat access hits everywhere and changes no state (a FIFO hit never
+// does) except the access counters, which the bank keeps in one word
+// until Flush.
 type Bank struct {
 	members  []*Cache
 	filter   []uint64
-	shift    uint
+	keyShift uint
+	setShift uint
 	mask     uint32
 	filtered uint64
 }
@@ -40,18 +46,19 @@ func NewBank(members []*Cache) (*Bank, error) {
 	if len(members) == 0 {
 		return b, nil
 	}
-	coarse := members[0].cfg
+	lo, hi := uint(32), uint(32)
 	for _, c := range members {
-		if c.cfg.Repl != LRU || c.cfg.BlockBytes != coarse.BlockBytes {
-			return b, nil
-		}
-		if c.cfg.Sets() < coarse.Sets() {
-			coarse = c.cfg
-		}
+		lo = min(lo, c.setShift)
+		b.setShift = max(b.setShift, c.setShift)
+		hi = min(hi, c.tagShift)
 	}
-	b.filter = make([]uint64, coarse.Sets())
-	b.shift = uint(log2(coarse.BlockBytes))
-	b.mask = uint32(coarse.Sets() - 1)
+	b.keyShift = lo
+	slots := 1
+	if hi > b.setShift {
+		slots <<= hi - b.setShift
+	}
+	b.filter = make([]uint64, slots)
+	b.mask = uint32(slots - 1)
 	return b, nil
 }
 
@@ -59,13 +66,13 @@ func NewBank(members []*Cache) (*Bank, error) {
 // members that missed, bit i for member i.
 func (b *Bank) Access(addr uint32, isStore bool) uint64 {
 	if b.filter != nil {
-		blk := addr >> b.shift
-		f := &b.filter[blk&b.mask]
-		if *f == uint64(blk)+1 {
+		key := uint64(addr>>b.keyShift) + 1
+		f := &b.filter[(addr>>b.setShift)&b.mask]
+		if *f == key {
 			b.filtered++
 			return 0
 		}
-		*f = uint64(blk) + 1
+		*f = key
 	}
 	var missed uint64
 	for i, c := range b.members {

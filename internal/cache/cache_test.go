@@ -357,9 +357,11 @@ func TestDirectMappedFastPath(t *testing.T) {
 	}
 }
 
-// The bank geometries of the paper's tables: the six geometries every
+// The bank geometries of the paper's tables, the six geometries every
 // sweep attaches (tables.StdGeoms, which this package cannot import) and
-// Table S3's block-size sweep.
+// Table S3's block-size sweep, plus banks that give the filter its other
+// shapes: an LRU/FIFO mix, members whose set-index bits do not overlap
+// (a one-slot filter) and an all-FIFO bank with mixed block sizes.
 var (
 	stdGeoms = []Config{
 		{SizeBytes: 8 * 1024, Assoc: 4, BlockBytes: 32},
@@ -379,7 +381,16 @@ var (
 		{SizeBytes: 8 * 1024, Assoc: 4, BlockBytes: 32, Repl: FIFO},
 		{SizeBytes: 1024, Assoc: 1, BlockBytes: 32},
 	}
-	bankGeoms = [][]Config{stdGeoms, blockGeoms, fifoGeoms}
+	disjointGeoms = []Config{
+		{SizeBytes: 128, Assoc: 1, BlockBytes: 16},
+		{SizeBytes: 8 * 1024, Assoc: 1, BlockBytes: 128},
+	}
+	allFIFOGeoms = []Config{
+		{SizeBytes: 8 * 1024, Assoc: 4, BlockBytes: 32, Repl: FIFO},
+		{SizeBytes: 2 * 1024, Assoc: 2, BlockBytes: 16, Repl: FIFO},
+		{SizeBytes: 1024, Assoc: 1, BlockBytes: 64, Repl: FIFO},
+	}
+	bankGeoms = [][]Config{stdGeoms, blockGeoms, fifoGeoms, disjointGeoms, allFIFOGeoms}
 )
 
 // bankAccess is one access of a bank's input stream.
@@ -438,11 +449,12 @@ func checkBank(t testing.TB, cfgs []Config, stream []bankAccess, flushEvery int)
 }
 
 // TestBankAgainstReferenceModel extends the reference-model oracle of
-// TestAgainstReferenceModel to banks: the six standard geometries (the
-// filtered path), Table S3's mixed block sizes and a bank with a FIFO
-// member (both unfiltered). The stream mixes same-block runs, which the
-// filter absorbs, with a hot working set, random accesses over 128 KB
-// and a sequential sweep that evicts from every geometry.
+// TestAgainstReferenceModel to every bank of bankGeoms, each filtered:
+// the six standard geometries, Table S3's mixed block sizes, an LRU/FIFO
+// mix, a one-slot filter and an all-FIFO bank. The stream mixes
+// same-block runs, which the filter absorbs, with a hot working set,
+// random accesses over 128 KB and a sequential sweep that evicts from
+// every geometry.
 func TestBankAgainstReferenceModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	stream := make([]bankAccess, 60000)
@@ -515,6 +527,45 @@ func FuzzBank(f *testing.F) {
 			checkBank(t, cfgs, stream, 0)
 		}
 	})
+}
+
+// TestBankFilterShape pins the filter NewBank derives: one slot per
+// value of the set-index bits all members share, keyed by the finest
+// block. The standard geometries keep 32 slots of 32 B blocks; Table S3
+// indexes by the same bits but keys by its 16 B blocks; members with
+// disjoint set-index bits share one slot.
+func TestBankFilterShape(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		cfgs      []Config
+		slots     int
+		keyBytes  int
+		indexBits uint
+	}{
+		{"std", stdGeoms, 32, 32, 5},
+		{"S3", blockGeoms, 32, 16, 6},
+		{"fifo-mix", fifoGeoms, 32, 32, 5},
+		{"disjoint", disjointGeoms, 1, 16, 7},
+		{"all-fifo", allFIFOGeoms, 16, 16, 6},
+	} {
+		members := make([]*Cache, len(tc.cfgs))
+		for i, cfg := range tc.cfgs {
+			members[i] = mustNew(cfg)
+		}
+		b, err := NewBank(members)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b.filter) != tc.slots || b.mask != uint32(tc.slots-1) {
+			t.Errorf("%s: %d slots (mask %#x), want %d", tc.name, len(b.filter), b.mask, tc.slots)
+		}
+		if 1<<b.keyShift != tc.keyBytes {
+			t.Errorf("%s: key of %d B blocks, want %d B", tc.name, 1<<b.keyShift, tc.keyBytes)
+		}
+		if tc.slots > 1 && b.setShift != tc.indexBits {
+			t.Errorf("%s: slot index from bit %d, want bit %d", tc.name, b.setShift, tc.indexBits)
+		}
+	}
 }
 
 // TestBankFlushForgetsFilter: after Flush the members may be driven

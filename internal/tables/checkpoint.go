@@ -189,7 +189,7 @@ func combosFor(pending map[string]bool) []Combo {
 	}
 	if need("S3") {
 		for _, b := range bench.Training() {
-			out = append(out, Combo{Bench: b, Geoms: blockGeoms})
+			out = append(out, Combo{Bench: b, Geoms: BlockGeoms})
 		}
 	}
 	return out

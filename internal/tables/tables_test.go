@@ -207,7 +207,8 @@ func TestTable3ListsAllH1Classes(t *testing.T) {
 }
 
 // TestLRUInclusionOnBenchTraces checks, on the real access streams of
-// three training benchmarks, the cache-theory facts the simulator's
+// every benchmark (unoptimised, Input 1: runs the sweep's tables share
+// through the bench memo), the cache-theory facts the simulator's
 // shared cache bank rests on. Under LRU with bit-selected sets a cache
 // with the same ways but more sets, or the same sets but more ways,
 // holds a superset of the smaller one's lines after every access, so
@@ -218,11 +219,8 @@ func TestLRUInclusionOnBenchTraces(t *testing.T) {
 		{GeomBaseline, Geom16K, Geom32K, Geom64K}, // 4 ways, 64 → 512 sets
 		{GeomAssoc2, Geom16K},                     // 128 sets, 2 → 4 ways
 	}
-	for _, name := range []string{"181.mcf", "008.espresso", "129.compress"} {
-		b := bench.ByName(name)
-		if b == nil || !b.Training {
-			t.Fatalf("%s is not a training benchmark", name)
-		}
+	for _, b := range bench.All() {
+		name := b.Name
 		ctx, err := Load(b, false, false)
 		if err != nil {
 			t.Fatal(err)

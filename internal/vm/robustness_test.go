@@ -154,3 +154,59 @@ func TestRunRejectsInvalidImage(t *testing.T) {
 		t.Error("out-of-range entry accepted")
 	}
 }
+
+// TestPageTableEdges: a word pair straddling a page-directory boundary
+// (0x003FFFFC and 0x00400000) and a word at the very top of the address
+// space store and read back, and the memory budget counts exactly the
+// three pages touched: a budget of three pages runs to completion, one
+// page less fails with ErrMemBudget once the step loop polls it.
+func TestPageTableEdges(t *testing.T) {
+	const src = `
+main:
+	li $t0, 0x003FFFFC
+	li $t1, 0x11223344
+	li $t2, 0x55667788
+	sw $t1, 0($t0)
+	sw $t2, 4($t0)
+	addiu $t5, $zero, -4
+	li $t6, 0x0BADF00D
+	sw $t6, 0($t5)
+	li $a0, 1
+	lw $t3, 0($t0)
+	bne $t3, $t1, done
+	li $a0, 2
+	lw $t4, 4($t0)
+	bne $t4, $t2, done
+	li $a0, 3
+	lw $t7, 0($t5)
+	bne $t7, $t6, done
+	li $t8, 10000
+spin:
+	addiu $t8, $t8, -1
+	bne $t8, $zero, spin
+	li $a0, 0
+done:
+	li $v0, 10
+	syscall
+`
+	img, err := asm.Assemble(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(img.Data) != 0 {
+		t.Fatalf("program has %d bytes of static data; the page count assumes none", len(img.Data))
+	}
+	res, err := Run(img, Options{MaxMemBytes: 3 * pageSize})
+	if err != nil {
+		t.Fatalf("three-page budget: %v", err)
+	}
+	if res.Exit != 0 {
+		t.Fatalf("read-back check %d failed", res.Exit)
+	}
+	if res.Insts <= 8192 {
+		t.Fatalf("%d instructions never reach the budget poll", res.Insts)
+	}
+	if _, err := Run(img, Options{MaxMemBytes: 3*pageSize - 1}); !errors.Is(err, ErrMemBudget) {
+		t.Fatalf("budget one byte short of three pages: err = %v, want ErrMemBudget", err)
+	}
+}

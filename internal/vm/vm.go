@@ -23,7 +23,18 @@ import (
 	_ "delinq/internal/isa/mips"
 )
 
-const pageSize = 1 << 12
+// Memory is a flat two-level page table over the 32-bit address space:
+// 1024 directories of 1024 pages of 4 KiB, each directory (4 MiB of
+// address space) and each page allocated on first touch.
+const (
+	pageBits = 12
+	pageSize = 1 << pageBits
+	dirBits  = 10
+)
+
+type page [pageSize]byte
+
+type directory [1 << dirBits]*page
 
 // Options configures one execution.
 type Options struct {
@@ -59,12 +70,15 @@ type Result struct {
 	// Exec[i] is how many times text word i executed: E(i) indexed by
 	// (pc-TextBase)/4.
 	Exec []int64
-	// LoadAccesses[i] counts data accesses issued by text word i.
+	// LoadAccesses[i] counts data accesses issued by text word i: Exec[i]
+	// for a load, zero otherwise. Every execution of a load issues one
+	// access, so the VM derives these from Exec when the run completes.
 	LoadAccesses []int64
 	// LoadMisses[c][i] counts cache-c misses suffered by the load at
 	// text word i: M(i, C).
 	LoadMisses [][]int64
-	// DataAccesses counts all data reads+writes.
+	// DataAccesses counts all data reads+writes: the sum of Exec over
+	// every load and store.
 	DataAccesses int64
 }
 
@@ -128,13 +142,10 @@ type machine struct {
 	// from them rather than from materialised condition flags.
 	cmpA, cmpB int32
 	pc         uint32
-	pages      map[uint32][]byte
-	// One-entry page translation cache: the vast majority of data
-	// accesses land on the page of the previous access, so this skips
-	// the map lookup on the hot path. Pages are never unmapped, so the
-	// cached slice can never go stale.
-	lastBase uint32
-	lastPage []byte
+	// dirs is the top level of the page table, indexed by the address's
+	// top ten bits; untouched entries point at noPages. Pages are never
+	// unmapped.
+	dirs [1 << (32 - pageBits - dirBits)]*directory
 	// memBytes counts allocated page bytes against maxMem; the loop
 	// polls it every 8K instructions (with the context check), so a run
 	// can overshoot by at most the pages touched in one poll interval —
@@ -176,14 +187,13 @@ func RunContext(ctx context.Context, img *obj.Image, opts Options) (*Result, err
 		return nil, fmt.Errorf("vm: %w", err)
 	}
 	m := &machine{
-		img:   img,
-		pages: map[uint32][]byte{},
-		brk:   (img.DataEnd() + 7) &^ 7,
-		opts:  opts,
-		res: &Result{
-			Exec:         make([]int64, len(img.Text)),
-			LoadAccesses: make([]int64, len(img.Text)),
-		},
+		img:  img,
+		brk:  (img.DataEnd() + 7) &^ 7,
+		opts: opts,
+		res:  &Result{Exec: make([]int64, len(img.Text))},
+	}
+	for i := range m.dirs {
+		m.dirs[i] = &noPages
 	}
 	mach, err := isa.ByName(img.ISAName())
 	if err != nil {
@@ -214,7 +224,7 @@ func RunContext(ctx context.Context, img *obj.Image, opts Options) (*Result, err
 	// checking the memory budget as pages materialise so a giant data
 	// segment fails fast instead of after allocating it all.
 	for off := 0; off < len(img.Data); off += pageSize {
-		copy(m.pageFor(obj.DataBase+uint32(off)), img.Data[off:])
+		copy(m.pageFor(obj.DataBase + uint32(off))[:], img.Data[off:])
 		if m.maxMem > 0 && m.memBytes > m.maxMem {
 			return nil, &Error{
 				PC:  img.Entry,
@@ -236,6 +246,7 @@ func RunContext(ctx context.Context, img *obj.Image, opts Options) (*Result, err
 	if err := m.loop(); err != nil {
 		return nil, err
 	}
+	m.countAccesses()
 	if opts.CaptureOutput {
 		m.res.Output = m.out.String()
 	}
@@ -246,30 +257,50 @@ func (m *machine) fault(format string, args ...any) error {
 	return &Error{PC: m.pc, Msg: fmt.Sprintf(format, args...)}
 }
 
-func (m *machine) pageFor(addr uint32) []byte {
-	base := addr &^ (pageSize - 1)
-	if m.lastPage != nil && base == m.lastBase {
-		return m.lastPage
+// countAccesses fills the access counts of a completed run from Exec:
+// each execution of a load or store issued exactly one data access.
+func (m *machine) countAccesses() {
+	m.res.LoadAccesses = make([]int64, len(m.code))
+	for i, in := range m.code {
+		switch {
+		case in.IsLoad():
+			m.res.LoadAccesses[i] = m.res.Exec[i]
+			m.res.DataAccesses += m.res.Exec[i]
+		case in.IsStore():
+			m.res.DataAccesses += m.res.Exec[i]
+		}
 	}
-	p, ok := m.pages[base]
-	if !ok {
-		p = make([]byte, pageSize)
-		m.pages[base] = p
-		m.memBytes += pageSize
+}
+
+// pageFor returns the page holding addr, allocating it on first touch.
+func (m *machine) pageFor(addr uint32) *page {
+	if p := m.dirs[addr>>(pageBits+dirBits)][addr>>pageBits&(1<<dirBits-1)]; p != nil {
+		return p
 	}
-	m.lastBase, m.lastPage = base, p
+	return m.newPage(addr)
+}
+
+// noPages stands in for every directory not yet touched, so a lookup
+// needs no nil check on the top level. It is never written.
+var noPages directory
+
+func (m *machine) newPage(addr uint32) *page {
+	d := m.dirs[addr>>(pageBits+dirBits)]
+	if d == &noPages {
+		d = new(directory)
+		m.dirs[addr>>(pageBits+dirBits)] = d
+	}
+	p := new(page)
+	d[addr>>pageBits&(1<<dirBits-1)] = p
+	m.memBytes += pageSize
 	return p
 }
 
 func (m *machine) access(pc uint32, addr uint32, isStore bool) {
-	m.res.DataAccesses++
-	idx := int(pc-obj.TextBase) / 4
-	if !isStore {
-		m.res.LoadAccesses[idx]++
-	}
 	if m.bank != nil {
 		// Most accesses hit in every cache and leave missed zero.
 		if missed := m.bank.Access(addr, isStore); missed != 0 && !isStore {
+			idx := int(pc-obj.TextBase) / 4
 			for ; missed != 0; missed &= missed - 1 {
 				m.res.LoadMisses[bits.TrailingZeros64(missed)][idx]++
 			}
